@@ -5,6 +5,11 @@
 //! dominance filtering. Every cut carries the Boolean function it computes in
 //! terms of its (sorted) leaves, which is what T1 Boolean matching consumes.
 //!
+//! Leaves are stored inline in the cut and all cuts of the network share one
+//! flat array, so enumeration allocates nothing per cut. Merged candidates
+//! are filtered on their leaf sets alone; a truth table is computed only for
+//! a cut that survives the dominance filter and the `max_cuts` limit.
+//!
 //! # Examples
 //!
 //! ```
@@ -35,16 +40,16 @@ use crate::aig::{Aig, NodeId, NodeKind};
 use crate::truth_table::TruthTable;
 
 /// A cut: a set of leaves plus the function of the root in terms of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cut {
-    leaves: Vec<NodeId>,
+    leaves: Leaves,
     tt: TruthTable,
 }
 
 impl Cut {
     /// The sorted leaf nodes of the cut.
     pub fn leaves(&self) -> &[NodeId] {
-        &self.leaves
+        self.leaves.as_slice()
     }
 
     /// The function of the cut root over the leaves (variable `i` is
@@ -53,13 +58,78 @@ impl Cut {
         self.tt
     }
 
+    /// The trivial cut `{node}` of a PI or AND node.
+    fn trivial(node: NodeId) -> Cut {
+        Cut {
+            leaves: Leaves::one(node),
+            tt: TruthTable::var(1, 0),
+        }
+    }
+}
+
+/// A sorted leaf set of at most [`TruthTable::MAX_VARS`] nodes, stored
+/// inline. Slots past `len` are always [`NodeId::CONST0`], so the derived
+/// equality compares leaf sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Leaves {
+    ids: [NodeId; TruthTable::MAX_VARS],
+    len: u8,
+}
+
+impl Leaves {
+    const EMPTY: Leaves = Leaves {
+        ids: [NodeId::CONST0; TruthTable::MAX_VARS],
+        len: 0,
+    };
+
+    fn one(node: NodeId) -> Leaves {
+        let mut l = Leaves::EMPTY;
+        l.ids[0] = node;
+        l.len = 1;
+        l
+    }
+
+    fn as_slice(&self) -> &[NodeId] {
+        &self.ids[..usize::from(self.len)]
+    }
+
     /// Returns `true` if every leaf of `self` is a leaf of `other`.
-    fn dominates(&self, other: &Cut) -> bool {
-        self.leaves.len() <= other.leaves.len()
+    fn dominates(&self, other: &Leaves) -> bool {
+        self.len <= other.len
             && self
-                .leaves
+                .as_slice()
                 .iter()
-                .all(|l| other.leaves.binary_search(l).is_ok())
+                .all(|l| other.as_slice().binary_search(l).is_ok())
+    }
+
+    /// The sorted union of `a` and `b`, or `None` if it has more than `max`
+    /// leaves.
+    fn merge(a: &Leaves, b: &Leaves, max: usize) -> Option<Leaves> {
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let mut out = Leaves::EMPTY;
+        let mut n = 0;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() || j < b.len() {
+            let next = if j >= b.len() || (i < a.len() && a[i] <= b[j]) {
+                if j < b.len() && a[i] == b[j] {
+                    j += 1;
+                }
+                let v = a[i];
+                i += 1;
+                v
+            } else {
+                let v = b[j];
+                j += 1;
+                v
+            };
+            if n == max {
+                return None;
+            }
+            out.ids[n] = next;
+            n += 1;
+        }
+        out.len = n as u8;
+        Some(out)
     }
 }
 
@@ -86,29 +156,34 @@ impl Default for CutConfig {
 /// Per-node cut sets for a whole network.
 #[derive(Debug, Clone)]
 pub struct CutSet {
-    cuts: Vec<Vec<Cut>>,
+    /// The cuts of every node, node by node.
+    cuts: Vec<Cut>,
+    /// The cuts of node `i` are `cuts[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
 }
 
 impl CutSet {
     /// The cuts enumerated for `node` (first cut is the trivial one for
     /// PIs, and cuts are ordered smaller-first for ANDs).
     pub fn cuts(&self, node: NodeId) -> &[Cut] {
-        &self.cuts[node.index()]
+        let i = node.index();
+        &self.cuts[self.start[i]..self.start[i + 1]]
     }
 
     /// Total number of stored cuts (diagnostic).
     pub fn total(&self) -> usize {
-        self.cuts.iter().map(Vec::len).sum()
+        self.cuts.len()
     }
 }
 
 /// Re-expresses `tt` (over `leaves`) on the superset `union` of leaves.
 fn expand_tt(tt: TruthTable, leaves: &[NodeId], union: &[NodeId]) -> TruthTable {
     debug_assert!(union.len() <= TruthTable::MAX_VARS);
-    let positions: Vec<usize> = leaves
-        .iter()
-        .map(|l| union.binary_search(l).expect("leaf must be in union"))
-        .collect();
+    let mut positions = [0usize; TruthTable::MAX_VARS];
+    for (p, l) in positions.iter_mut().zip(leaves) {
+        *p = union.binary_search(l).expect("leaf must be in union");
+    }
+    let positions = &positions[..leaves.len()];
     let m = union.len();
     let mut bits = 0u64;
     for idx in 0..(1usize << m) {
@@ -123,28 +198,13 @@ fn expand_tt(tt: TruthTable, leaves: &[NodeId], union: &[NodeId]) -> TruthTable 
     TruthTable::from_bits(m, bits)
 }
 
-fn merge_leaves(a: &[NodeId], b: &[NodeId], max: usize) -> Option<Vec<NodeId>> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() || j < b.len() {
-        let next = if j >= b.len() || (i < a.len() && a[i] <= b[j]) {
-            if j < b.len() && a[i] == b[j] {
-                j += 1;
-            }
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
-            j += 1;
-            v
-        };
-        out.push(next);
-        if out.len() > max {
-            return None;
-        }
-    }
-    Some(out)
+/// A merged leaf set together with the fanin cuts it came from, whose
+/// functions are combined only if the candidate is kept.
+#[derive(Clone, Copy)]
+struct Candidate {
+    leaves: Leaves,
+    a: usize,
+    b: usize,
 }
 
 /// Enumerates cuts for every node of `aig`.
@@ -158,79 +218,71 @@ pub fn enumerate_cuts(aig: &Aig, config: &CutConfig) -> CutSet {
         "cut width limited to 6"
     );
     assert!(config.max_cuts > 0, "at least one cut per node required");
-    let mut all: Vec<Vec<Cut>> = Vec::with_capacity(aig.len());
+    let mut cuts: Vec<Cut> = Vec::with_capacity(aig.len());
+    let mut start: Vec<usize> = Vec::with_capacity(aig.len() + 1);
+    let mut merged: Vec<Candidate> = Vec::new();
+    let mut kept: Vec<Candidate> = Vec::new();
     for id in aig.node_ids() {
-        let cuts = match aig.kind(id) {
-            NodeKind::Const0 => {
-                vec![Cut {
-                    leaves: vec![],
-                    tt: TruthTable::zero(0),
-                }]
-            }
-            NodeKind::Input(_) => {
-                vec![Cut {
-                    leaves: vec![id],
-                    tt: TruthTable::var(1, 0),
-                }]
-            }
+        start.push(cuts.len());
+        match aig.kind(id) {
+            NodeKind::Const0 => cuts.push(Cut {
+                leaves: Leaves::EMPTY,
+                tt: TruthTable::zero(0),
+            }),
+            NodeKind::Input(_) => cuts.push(Cut::trivial(id)),
             NodeKind::And(fa, fb) => {
-                let mut merged: Vec<Cut> = Vec::new();
-                {
-                    let ca = &all[fa.node().index()];
-                    let cb = &all[fb.node().index()];
-                    for cut_a in ca {
-                        for cut_b in cb {
-                            let Some(leaves) =
-                                merge_leaves(&cut_a.leaves, &cut_b.leaves, config.max_leaves)
-                            else {
-                                continue;
-                            };
-                            let mut ta = expand_tt(cut_a.tt, &cut_a.leaves, &leaves);
-                            let mut tb = expand_tt(cut_b.tt, &cut_b.leaves, &leaves);
-                            if fa.is_complement() {
-                                ta = !ta;
-                            }
-                            if fb.is_complement() {
-                                tb = !tb;
-                            }
-                            merged.push(Cut {
-                                leaves,
-                                tt: ta & tb,
-                            });
+                let set = |n: NodeId| start[n.index()]..start[n.index() + 1];
+                let (ra, rb) = (set(fa.node()), set(fb.node()));
+                merged.clear();
+                for a in ra.clone() {
+                    for b in rb.clone() {
+                        if let Some(leaves) =
+                            Leaves::merge(&cuts[a].leaves, &cuts[b].leaves, config.max_leaves)
+                        {
+                            merged.push(Candidate { leaves, a, b });
                         }
                     }
                 }
-                // Dominance filter: drop any cut strictly dominated by another.
-                let mut kept: Vec<Cut> = Vec::new();
-                merged.sort_by_key(|c| c.leaves.len());
-                for cut in merged {
-                    if kept
-                        .iter()
-                        .any(|k| k.dominates(&cut) && k.leaves != cut.leaves)
-                    {
-                        continue;
+                // Dominance filter, smaller cuts first (stable within a
+                // width): drop any cut whose leaves contain a kept cut's,
+                // duplicates included.
+                kept.clear();
+                'widths: for width in 0..=config.max_leaves as u8 {
+                    for cand in merged.iter().filter(|c| c.leaves.len == width) {
+                        if kept.iter().any(|k| k.leaves.dominates(&cand.leaves)) {
+                            continue;
+                        }
+                        kept.push(*cand);
+                        if kept.len() >= config.max_cuts {
+                            break 'widths;
+                        }
                     }
-                    if kept.iter().any(|k| k.leaves == cut.leaves) {
-                        continue;
+                }
+                for k in &kept {
+                    let (ca, cb) = (&cuts[k.a], &cuts[k.b]);
+                    let union = k.leaves.as_slice();
+                    let mut ta = expand_tt(ca.tt, ca.leaves(), union);
+                    let mut tb = expand_tt(cb.tt, cb.leaves(), union);
+                    if fa.is_complement() {
+                        ta = !ta;
                     }
-                    kept.push(cut);
-                    if kept.len() >= config.max_cuts {
-                        break;
+                    if fb.is_complement() {
+                        tb = !tb;
                     }
+                    cuts.push(Cut {
+                        leaves: k.leaves,
+                        tt: ta & tb,
+                    });
                 }
                 // The trivial cut is always present (consumers build their
                 // direct fanin cuts from it); it rides on top of the limit
                 // so it can never be crowded out.
-                kept.push(Cut {
-                    leaves: vec![id],
-                    tt: TruthTable::var(1, 0),
-                });
-                kept
+                cuts.push(Cut::trivial(id));
             }
-        };
-        all.push(cuts);
+        }
     }
-    CutSet { cuts: all }
+    start.push(cuts.len());
+    CutSet { cuts, start }
 }
 
 #[cfg(test)]

@@ -6,9 +6,14 @@
 //! dead, so the area gain of eq. (2) of the paper is the summed area of the
 //! MFFC members.
 //!
-//! The implementation is the standard reference-counting dereference walk:
-//! virtually remove `r`, decrement fanin references, and recurse into fanins
-//! whose count reaches zero.
+//! The implementation is the reference-counting dereference walk of
+//! DAG-aware rewriting (Mishchenko et al., DAC'06): virtually remove `r`,
+//! decrement the reference counts of its fanins, and continue into every
+//! fanin whose count reaches zero. The walk runs on an explicit stack, so
+//! arbitrarily deep networks cannot overflow the call stack. The reference
+//! counts and visited marks live as long as the calculator; every decrement
+//! is logged and undone after the query, so a query costs time and memory
+//! proportional to the cone it walks, not to the network size.
 //!
 //! # Examples
 //!
@@ -33,7 +38,14 @@ use crate::aig::{Aig, NodeId, NodeKind};
 #[derive(Debug)]
 pub struct Mffc<'a> {
     aig: &'a Aig,
-    base_refs: Vec<u32>,
+    /// Fanout reference counts; equal to the network's between queries.
+    refs: Vec<u32>,
+    /// Membership marks of the current query; all `false` between queries.
+    visited: Vec<bool>,
+    /// One entry per reference decrement of the current query.
+    undo: Vec<NodeId>,
+    /// Pending nodes of the dereference walk.
+    stack: Vec<NodeId>,
 }
 
 impl<'a> Mffc<'a> {
@@ -41,7 +53,10 @@ impl<'a> Mffc<'a> {
     pub fn new(aig: &'a Aig) -> Self {
         Mffc {
             aig,
-            base_refs: aig.fanout_counts(),
+            refs: aig.fanout_counts(),
+            visited: vec![false; aig.len()],
+            undo: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -73,45 +88,55 @@ impl<'a> Mffc<'a> {
     }
 
     /// Bounded variant of [`Mffc::union_members`]; see
-    /// [`Mffc::members_bounded`].
+    /// [`Mffc::members_bounded`]. The result is sorted.
     pub fn union_members_bounded(&mut self, roots: &[NodeId], boundary: &[NodeId]) -> Vec<NodeId> {
-        let mut refs = self.base_refs.clone();
-        let mut visited = vec![false; self.aig.len()];
         let mut out = Vec::new();
         for &r in roots {
-            if boundary.contains(&r) {
-                continue;
+            if !boundary.contains(&r) {
+                self.deref(r, boundary, &mut out);
             }
-            Self::deref_rec(self.aig, r, &mut refs, &mut visited, &mut out, boundary);
         }
-        out.sort();
+        // Undo the query: every logged decrement, then the marks (the
+        // marked nodes are exactly the members).
+        for n in self.undo.drain(..) {
+            self.refs[n.index()] += 1;
+        }
+        for n in &out {
+            self.visited[n.index()] = false;
+        }
+        out.sort_unstable();
         out
     }
 
-    fn deref_rec(
-        aig: &Aig,
-        node: NodeId,
-        refs: &mut [u32],
-        visited: &mut [bool],
-        out: &mut Vec<NodeId>,
-        boundary: &[NodeId],
-    ) {
-        // A node may be reached both as an explicit root and as a fanin
-        // whose reference count dropped to zero; its own fanin edges must
-        // only be released once.
-        if visited[node.index()] {
-            return;
-        }
-        if let NodeKind::And(a, b) = aig.kind(node) {
-            visited[node.index()] = true;
+    /// Dereferences the cone of `root`, appending every newly dead AND node
+    /// to `out`. The member set is the least fixed point of "a root, or a
+    /// node whose references all come from members", so it does not depend
+    /// on the visiting order.
+    fn deref(&mut self, root: NodeId, boundary: &[NodeId], out: &mut Vec<NodeId>) {
+        self.stack.push(root);
+        while let Some(node) = self.stack.pop() {
+            // A node may be reached both as an explicit root and as a fanin
+            // whose reference count dropped to zero; its own fanin edges
+            // must only be released once.
+            if self.visited[node.index()] {
+                continue;
+            }
+            let NodeKind::And(a, b) = self.aig.kind(node) else {
+                continue;
+            };
+            self.visited[node.index()] = true;
             out.push(node);
             for f in [a.node(), b.node()] {
                 if boundary.contains(&f) {
                     continue;
                 }
-                refs[f.index()] = refs[f.index()].saturating_sub(1);
-                if refs[f.index()] == 0 {
-                    Self::deref_rec(aig, f, refs, visited, out, boundary);
+                let r = &mut self.refs[f.index()];
+                if *r > 0 {
+                    *r -= 1;
+                    self.undo.push(f);
+                }
+                if *r == 0 {
+                    self.stack.push(f);
                 }
             }
         }

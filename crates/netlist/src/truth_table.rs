@@ -297,24 +297,24 @@ impl TruthTable {
     }
 
     /// Shrinks the function to its support, returning the compacted table and
-    /// the list of original variable indices retained (in ascending order).
-    pub fn shrink_to_support(&self) -> (Self, Vec<usize>) {
-        let mut vars: Vec<usize> = (0..self.num_vars as usize)
-            .filter(|&v| self.depends_on(v))
-            .collect();
+    /// the [support mask](TruthTable::support_mask): variable `i` of the
+    /// compacted table is the `i`-th set bit of the mask.
+    pub fn shrink_to_support(&self) -> (Self, u8) {
+        let mask = self.support_mask();
         let mut t = *self;
         // Compact support variables into the low positions while preserving order.
-        for (target, _) in vars.clone().iter().enumerate() {
-            let mut at = vars[target];
-            while at > target {
-                t = t.swap_adjacent(at - 1);
-                at -= 1;
+        for (target, var) in (0..self.num_vars as usize)
+            .filter(|&v| mask >> v & 1 == 1)
+            .enumerate()
+        {
+            for at in (target..var).rev() {
+                t = t.swap_adjacent(at);
             }
         }
-        let k = vars.len();
-        let out = TruthTable::from_bits(k, t.bits);
-        vars.truncate(k);
-        (out, vars)
+        (
+            TruthTable::from_bits(mask.count_ones() as usize, t.bits),
+            mask,
+        )
     }
 }
 
@@ -461,8 +461,8 @@ mod tests {
         let f = TruthTable::var(4, 0) ^ TruthTable::var(4, 2);
         assert_eq!(f.support_mask(), 0b0101);
         assert_eq!(f.support_size(), 2);
-        let (g, vars) = f.shrink_to_support();
-        assert_eq!(vars, vec![0, 2]);
+        let (g, mask) = f.shrink_to_support();
+        assert_eq!(mask, 0b0101);
         assert_eq!(g, TruthTable::var(2, 0) ^ TruthTable::var(2, 1));
     }
 

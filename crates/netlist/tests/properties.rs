@@ -317,4 +317,51 @@ proptest! {
         let inputs: Vec<u64> = (0..4u64).map(|i| i.wrapping_mul(0xDEAD_BEEF_CAFE)).collect();
         prop_assert_eq!(g1.eval64(&inputs), g2.eval64(&inputs));
     }
+
+    #[test]
+    fn mffc_queries_restore_state(
+        script in prop::collection::vec(any::<u8>(), 9..90),
+        queries in prop::collection::vec(any::<u8>(), 6..240),
+    ) {
+        // One calculator answers a long sequence of bounded union queries;
+        // each answer must equal that of a calculator that never answered
+        // anything, so every query leaves the shared state as it found it.
+        let g = build_aig(&script, 4);
+        let pick = |b: u8| NodeId(u32::from(b) % g.len() as u32);
+        let mut reused = Mffc::new(&g);
+        for q in queries.chunks_exact(6) {
+            let roots: Vec<NodeId> =
+                q[1..2 + usize::from(q[0] % 3)].iter().map(|&b| pick(b)).collect();
+            let boundary: Vec<NodeId> =
+                q[3..3 + usize::from(q[0] / 3 % 4)].iter().map(|&b| pick(b)).collect();
+            let got = reused.union_members_bounded(&roots, &boundary);
+            prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "members sorted and distinct");
+            prop_assert_eq!(
+                got,
+                Mffc::new(&g).union_members_bounded(&roots, &boundary),
+                "roots {:?} boundary {:?}", roots, boundary
+            );
+        }
+    }
+}
+
+#[test]
+fn mffc_of_million_deep_chain_fits_a_small_stack() {
+    // The dereference walk is iterative: a 1M-level AND chain must not
+    // overflow even a 2 MB thread stack.
+    const DEPTH: usize = 1_000_000;
+    let handle = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let mut g = Aig::new();
+            let pis: Vec<Lit> = (0..4).map(|_| g.add_pi()).collect();
+            let mut acc = pis[0];
+            for i in 0..DEPTH {
+                acc = g.and(acc, pis[1 + i % 3]);
+            }
+            g.add_po(acc);
+            Mffc::new(&g).size(acc.node())
+        })
+        .expect("spawn");
+    assert_eq!(handle.join().expect("no stack overflow"), DEPTH);
 }

@@ -49,6 +49,27 @@ fn enabled_recorder_counts_bytes_live_and_peak() {
 }
 
 #[test]
+fn pre_window_free_cannot_mask_in_window_peak() {
+    let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A block allocated before the window and freed inside it: were the
+    // free charged below zero, the 64 KiB allocation after it would only
+    // lift `peak` to 64 KiB minus 1 MiB.
+    let old: Vec<u8> = Vec::with_capacity(1 << 20);
+    std::hint::black_box(&old);
+    sfq_obs::enable();
+    drop(old);
+    let v: Vec<u8> = Vec::with_capacity(1 << 16);
+    std::hint::black_box(&v);
+    let s = alloc::stats();
+    assert!(s.freed >= 1 << 20, "pre-window free counted: {s:?}");
+    assert!(s.live >= 1 << 16, "live covers the in-window block: {s:?}");
+    assert!(s.peak >= 1 << 16, "peak covers the in-window block: {s:?}");
+    drop(v);
+    sfq_obs::disable();
+    let _ = sfq_obs::take();
+}
+
+#[test]
 fn span_close_attaches_allocation_delta_and_bytes_histogram() {
     let _guard = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
     sfq_obs::enable();

@@ -141,13 +141,23 @@ impl RewriteConfig {
     }
 }
 
+/// Cut width of the rewrite pass: programs have at most this many inputs.
+const CUT_WIDTH: usize = 4;
+
+/// Upper bound on the steps of a [`RewriteTable`] program over
+/// [`CUT_WIDTH`] inputs. Its Shannon synthesis spends at most three steps
+/// per split plus the programs of both cofactors, one variable smaller:
+/// `S(k) = 3 + 2·S(k − 1)` with `S(1) = 0` gives `S(4) = 21`; the
+/// hand-minimized seeds are shorter still.
+const MAX_PROGRAM_STEPS: usize = 21;
+
 /// One committed replacement: the class program plus the network literals
 /// feeding its canonical inputs.
 struct Site {
     program: Arc<Program>,
-    /// `inputs[j]` drives canonical input `j`; complements encode the NPN
-    /// input negations.
-    inputs: Vec<Lit>,
+    /// `inputs[j]` drives canonical input `j` for `j < program.num_vars()`;
+    /// complements encode the NPN input negations.
+    inputs: [Lit; CUT_WIDTH],
     /// Complement the program output (NPN output negation).
     output_neg: bool,
 }
@@ -161,7 +171,7 @@ impl Site {
         ConeRewrite {
             root,
             freed,
-            inputs: self.inputs,
+            inputs: self.inputs[..self.program.num_vars()].to_vec(),
             steps: self.program.steps().to_vec(),
             out: self.program.out() ^ u16::from(self.output_neg),
         }
@@ -196,11 +206,12 @@ fn estimate(
     let level_of = |s: Slot| match s {
         Slot::Known(_, l) | Slot::New(l) => l,
     };
-    let mut slots: Vec<Slot> = Vec::with_capacity(1 + prog.num_vars() + prog.len());
-    slots.push(Slot::Known(Lit::FALSE, 0));
-    for &l in inputs {
-        slots.push(Slot::Known(l, levels[l.node().index()]));
+    // Slot 0 is the constant, then one slot per input and per step.
+    let mut slots = [Slot::Known(Lit::FALSE, 0); 1 + CUT_WIDTH + MAX_PROGRAM_STEPS];
+    for (slot, &l) in slots[1..].iter_mut().zip(inputs) {
+        *slot = Slot::Known(l, levels[l.node().index()]);
     }
+    let mut used = 1 + inputs.len();
     let resolve = |slots: &[Slot], pl: u16| -> Slot {
         match slots[(pl >> 1) as usize] {
             Slot::Known(l, lv) => {
@@ -223,7 +234,7 @@ fn estimate(
         l
     };
     for &(a, b) in prog.steps() {
-        let (ra, rb) = (resolve(&slots, a), resolve(&slots, b));
+        let (ra, rb) = (resolve(&slots[..used], a), resolve(&slots[..used], b));
         let slot = if let (Slot::Known(la, lva), Slot::Known(lb, lvb)) = (ra, rb) {
             match aig.lookup_and(la, lb) {
                 Some(hit) => {
@@ -246,9 +257,14 @@ fn estimate(
             cost += 1;
             Slot::New(price_step(level_of(ra), level_of(rb)))
         };
-        slots.push(slot);
+        slots[used] = slot;
+        used += 1;
     }
-    (cost, level_of(resolve(&slots, prog.out())), new_dffs)
+    (
+        cost,
+        level_of(resolve(&slots[..used], prog.out())),
+        new_dffs,
+    )
 }
 
 /// Path-balancing DFFs of one fanin edge spanning `gap` logic levels under
@@ -344,7 +360,7 @@ fn select_sites(
     let cuts = enumerate_cuts(
         aig,
         &CutConfig {
-            max_leaves: 4,
+            max_leaves: CUT_WIDTH,
             max_cuts: config.max_cuts,
         },
     );
@@ -411,18 +427,26 @@ fn select_sites(
             {
                 continue; // overlaps an earlier site
             }
-            let (func, kept) = cut.truth_table().shrink_to_support();
+            let (func, support) = cut.truth_table().shrink_to_support();
             let canon = *canon_memo
                 .entry(func)
                 .or_insert_with(|| npn_canonical(func));
             let program = table.lookup(canon.canon);
-            let mut inputs = vec![Lit::FALSE; func.num_vars()];
-            for (i, &orig_var) in kept.iter().enumerate() {
+            let mut inputs = [Lit::FALSE; CUT_WIDTH];
+            let kept = (0..leaves.len()).filter(|&v| support >> v & 1 == 1);
+            for (i, orig_var) in kept.enumerate() {
                 let neg = canon.input_neg >> i & 1 == 1;
                 inputs[canon.perm[i] as usize] = Lit::new(leaves[orig_var], neg);
             }
-            let (cost, out_level, new_dffs) =
-                estimate(aig, arrivals, &freed, &dead, &program, &inputs, dff_phases);
+            let (cost, out_level, new_dffs) = estimate(
+                aig,
+                arrivals,
+                &freed,
+                &dead,
+                &program,
+                &inputs[..func.num_vars()],
+                dff_phases,
+            );
             if out_level > level_limit {
                 continue; // would exceed the site's depth budget
             }
@@ -509,6 +533,26 @@ mod tests {
                 })
                 .collect();
             assert_eq!(a.eval64(&inputs), b.eval64(&inputs));
+        }
+    }
+
+    #[test]
+    fn programs_fit_the_estimate_slots() {
+        // Every 3-input class and a pseudo-random sample of 4-input
+        // classes stays within the step bound `estimate` sizes its slots by.
+        let table = RewriteTable::global();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let funcs = (0..256u64)
+            .map(|b| TruthTable::from_bits(3, b))
+            .chain((0..512).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                TruthTable::from_bits(CUT_WIDTH, state & 0xFFFF)
+            }));
+        for f in funcs {
+            let prog = table.lookup(npn_canonical(f).canon);
+            assert!(prog.len() <= MAX_PROGRAM_STEPS, "{f}: {} steps", prog.len());
         }
     }
 
