@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sfq_circuits::epfl;
-use sfq_netlist::cut::{enumerate_cuts, CutConfig};
+use sfq_netlist::cut::enumerate_cuts;
 use sfq_netlist::npn::npn_canonical;
 use sfq_netlist::truth_table::TruthTable;
 use sfq_solver::linear::{Constraint, LinExpr, Sense, VarId};
@@ -12,6 +12,7 @@ use sfq_solver::sat::{SatLit, SatSolver};
 use sfq_solver::simplex::solve_lp;
 use t1map::cells::CellLibrary;
 use t1map::flow::{run_flow, FlowConfig};
+use t1map::mapper::MAPPER_CUTS;
 use t1map::to_pulse_circuit;
 
 fn bench_netlist(c: &mut Criterion) {
@@ -19,16 +20,7 @@ fn bench_netlist(c: &mut Criterion) {
     let mut group = c.benchmark_group("netlist");
     group.sample_size(20);
     group.bench_function("cut-enum-adder64-k3", |b| {
-        b.iter(|| {
-            enumerate_cuts(
-                &aig,
-                &CutConfig {
-                    max_leaves: 3,
-                    max_cuts: 20,
-                },
-            )
-            .total()
-        })
+        b.iter(|| enumerate_cuts(&aig, &MAPPER_CUTS).total())
     });
     group.bench_function("npn-canon-all-3var", |b| {
         b.iter(|| {

@@ -29,8 +29,10 @@ fn bench_flows(c: &mut Criterion) {
 
 fn bench_flow_stages(c: &mut Criterion) {
     use sfq_circuits::epfl;
+    use sfq_opt::OptConfig;
     use t1map::detect::{detect, DetectConfig};
     use t1map::dff::insert_dffs;
+    use t1map::flow::prepare;
     use t1map::mapper::map;
     use t1map::phase::assign_phases;
 
@@ -38,6 +40,9 @@ fn bench_flow_stages(c: &mut Criterion) {
     let aig = epfl::adder(32);
     let mut group = c.benchmark_group("flow-stages-adder32");
     group.sample_size(20);
+    group.bench_function("prepare", |b| {
+        b.iter(|| prepare(&aig, &lib, &OptConfig::disabled()))
+    });
     group.bench_function("mapping", |b| {
         b.iter(|| map(&aig, &lib, None).circuit.len())
     });

@@ -42,7 +42,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use t1map::cells::CellLibrary;
 use t1map::dff::insert_dffs;
-use t1map::flow::{run_flow, FlowConfig};
+use t1map::flow::{finish, prepare, run_flow, FlowConfig};
 use t1map::mapper::map;
 use t1map::phase::{assign_phases_exact, assign_phases_with, edge_dff_objective, SearchObjective};
 
@@ -175,8 +175,9 @@ fn main() -> ExitCode {
         }
         ks.add_po(carry);
         for (name, aig) in [("ripple-carry", rca), ("kogge-stone", ks)] {
-            let base = run_flow(&aig, &lib, &FlowConfig::multiphase(4));
-            let t1 = run_flow(&aig, &lib, &FlowConfig::t1(4));
+            let prepared = prepare(&aig, &lib, &sfq_opt::OptConfig::disabled());
+            let base = finish(&prepared, &lib, &FlowConfig::multiphase(4));
+            let t1 = finish(&prepared, &lib, &FlowConfig::t1(4));
             println!(
                 "{name:<14} | {:>5} {:>5} | {:>9} {:>9} {:>10.3} | {:>6} {:>6}",
                 t1.stats.t1_found,

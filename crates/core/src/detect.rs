@@ -17,32 +17,27 @@
 
 use crate::cells::CellLibrary;
 use crate::mapped::{T1_PORT_CARRY, T1_PORT_OR, T1_PORT_SUM};
-use crate::mapper::{map, T1Group, T1Member, T1Selection};
+use crate::mapper::{choose_cuts, cover, T1Group, T1Member, T1Selection, MAPPER_CUTS};
 use sfq_netlist::aig::{Aig, NodeId, NodeKind};
-use sfq_netlist::cut::{enumerate_cuts, CutConfig};
+use sfq_netlist::cut::{enumerate_cuts, CutSet};
 use sfq_netlist::mffc::Mffc;
 use sfq_netlist::truth_table::TruthTable;
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
 
 /// Parameters of the detection stage.
+///
+/// Detection matches on the mapper's own cuts ([`MAPPER_CUTS`]), so the
+/// T1 flow enumerates them once for both stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectConfig {
-    /// Cut enumeration parameters (cuts wider than 3 leaves are ignored).
-    pub cut: CutConfig,
-    /// Keep groups with non-positive gain as candidates (they are never
-    /// selected, but are reported as "found").
+    /// Minimum number of member functions a candidate group needs.
     pub min_members: usize,
 }
 
 impl Default for DetectConfig {
     fn default() -> Self {
-        DetectConfig {
-            cut: CutConfig {
-                max_leaves: 3,
-                max_cuts: 20,
-            },
-            min_members: 2,
-        }
+        DetectConfig { min_members: 2 }
     }
 }
 
@@ -50,8 +45,6 @@ impl DetectConfig {
     /// Feeds a canonical encoding of the detection parameters into `h`, in
     /// fixed field order, for the `sfq-engine` content-addressed cache key.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
-        h.write_usize(self.cut.max_leaves);
-        h.write_usize(self.cut.max_cuts);
         h.write_usize(self.min_members);
     }
 }
@@ -78,23 +71,79 @@ impl DetectionResult {
     }
 }
 
-/// The five T1-implementable functions, as (port, base table) pairs.
-fn port_functions() -> [(u8, TruthTable); 3] {
-    [
-        (T1_PORT_SUM, TruthTable::xor3()),
-        (T1_PORT_CARRY, TruthTable::maj3()),
-        (T1_PORT_OR, TruthTable::or3()),
-    ]
+/// A T1 match of a 3-input function: operand negation mask, T1 port and
+/// whether the function is the port's complement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PortMatch {
+    mask: u8,
+    port: u8,
+    output_invert: bool,
 }
 
-fn apply_mask(tt: TruthTable, mask: u8) -> TruthTable {
-    let mut out = tt;
-    for v in 0..3 {
-        if mask >> v & 1 == 1 {
-            out = out.flip_var(v);
-        }
+/// The T1 matches of one 3-input truth table (at most one per mask).
+#[derive(Debug, Clone, Copy)]
+struct Matches {
+    len: u8,
+    items: [PortMatch; 8],
+}
+
+impl Matches {
+    fn as_slice(&self) -> &[PortMatch] {
+        &self.items[..usize::from(self.len)]
     }
-    out
+}
+
+/// The T1 matches of every 3-input function, indexed by its 8-bit truth
+/// table. Each entry lists the negation masks in ascending order and, per
+/// mask, the first matching port of SUM (XOR3), CARRY (MAJ3), OR (OR3), in
+/// either output polarity.
+fn match_table() -> &'static [Matches; 256] {
+    static TABLE: OnceLock<[Matches; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let ports = [
+            (T1_PORT_SUM, TruthTable::xor3()),
+            (T1_PORT_CARRY, TruthTable::maj3()),
+            (T1_PORT_OR, TruthTable::or3()),
+        ];
+        let none = PortMatch {
+            mask: 0,
+            port: 0,
+            output_invert: false,
+        };
+        std::array::from_fn(|bits| {
+            let tt = TruthTable::from_bits(3, bits as u64);
+            let mut m = Matches {
+                len: 0,
+                items: [none; 8],
+            };
+            // One match per mask: the first port in the order above wins.
+            let mut seen = 0u8;
+            for mask in 0u8..8 {
+                for &(port, base) in &ports {
+                    let target = (0..3)
+                        .filter(|v| mask >> v & 1 == 1)
+                        .fold(base, |t, v| t.flip_var(v));
+                    let output_invert = if tt == target {
+                        false
+                    } else if tt == !target {
+                        true
+                    } else {
+                        continue;
+                    };
+                    if seen >> mask & 1 == 0 {
+                        seen |= 1 << mask;
+                        m.items[usize::from(m.len)] = PortMatch {
+                            mask,
+                            port,
+                            output_invert,
+                        };
+                        m.len += 1;
+                    }
+                }
+            }
+            m
+        })
+    })
 }
 
 /// Runs T1 detection on `aig`.
@@ -102,58 +151,49 @@ fn apply_mask(tt: TruthTable, mask: u8) -> TruthTable {
 /// The baseline mapping is computed internally to attribute realistic cell
 /// areas to cut roots (eq. 2).
 pub fn detect(aig: &Aig, lib: &CellLibrary, config: &DetectConfig) -> DetectionResult {
-    let attribution = map(aig, lib, None).attribution;
-    detect_with_attribution(aig, lib, config, &attribution)
+    let cuts = enumerate_cuts(aig, &MAPPER_CUTS);
+    let best = choose_cuts(aig, lib, &cuts);
+    let attribution = cover(aig, lib, &cuts, &best, None).attribution;
+    detect_with_attribution(aig, lib, config, &cuts, &attribution)
 }
 
-/// Like [`detect`], but reusing an existing baseline-mapping attribution.
+/// Like [`detect`], but matching on the mapper's already-enumerated cuts
+/// of `aig` (`enumerate_cuts(aig, &MAPPER_CUTS)`) and reusing a baseline
+/// mapping's attribution.
 pub fn detect_with_attribution(
     aig: &Aig,
     lib: &CellLibrary,
     config: &DetectConfig,
+    cuts: &CutSet,
     attribution: &HashMap<NodeId, u32>,
 ) -> DetectionResult {
-    let cuts = enumerate_cuts(aig, &config.cut);
-    let ports = port_functions();
+    let table = match_table();
 
-    // (leaves, mask) → members.
+    // (leaves, mask) → members. The cuts of one node have distinct leaf
+    // sets (the enumeration drops duplicates), and the table holds one
+    // match per mask, so every (leaves, mask) gets each node at most once.
     let mut groups: HashMap<([NodeId; 3], u8), Vec<T1Member>> = HashMap::new();
     for id in aig.node_ids() {
         if !matches!(aig.kind(id), NodeKind::And(..)) {
             continue;
         }
-        let mut seen_masks = HashSet::new();
         for cut in cuts.cuts(id) {
-            if cut.leaves().len() != 3 {
+            let &[a, b, c] = cut.leaves() else {
                 continue;
-            }
+            };
             let tt = cut.truth_table();
             if tt.support_size() != 3 {
                 continue;
             }
-            let leaves = [cut.leaves()[0], cut.leaves()[1], cut.leaves()[2]];
-            for mask in 0u8..8 {
-                for &(port, base) in &ports {
-                    let target = apply_mask(base, mask);
-                    let inv = if tt == target {
-                        Some(false)
-                    } else if tt == !target {
-                        Some(true)
-                    } else {
-                        None
-                    };
-                    if let Some(output_invert) = inv {
-                        // A node matches one port per (leaves, mask); guard
-                        // against duplicate cuts of the same node.
-                        if seen_masks.insert((leaves, mask)) {
-                            groups.entry((leaves, mask)).or_default().push(T1Member {
-                                root: id,
-                                port,
-                                output_invert,
-                            });
-                        }
-                    }
-                }
+            for m in table[tt.bits() as usize & 0xFF].as_slice() {
+                groups
+                    .entry(([a, b, c], m.mask))
+                    .or_default()
+                    .push(T1Member {
+                        root: id,
+                        port: m.port,
+                        output_invert: m.output_invert,
+                    });
             }
         }
     }
@@ -350,6 +390,7 @@ pub fn select_exact(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapper::map;
     use sfq_circuits::epfl::adder;
 
     fn full_adder_aig() -> Aig {
@@ -362,6 +403,46 @@ mod tests {
         g.add_po(s);
         g.add_po(m);
         g
+    }
+
+    #[test]
+    fn match_table_agrees_with_direct_matching() {
+        // Reference: try every mask and port against the function and its
+        // complement, keeping the first port per mask.
+        let ports = [
+            (T1_PORT_SUM, TruthTable::xor3()),
+            (T1_PORT_CARRY, TruthTable::maj3()),
+            (T1_PORT_OR, TruthTable::or3()),
+        ];
+        let table = match_table();
+        let mut total = 0;
+        for bits in 0u64..256 {
+            let tt = TruthTable::from_bits(3, bits);
+            let mut expect = Vec::new();
+            for mask in 0u8..8 {
+                let hit = ports.iter().find_map(|&(port, base)| {
+                    let mut target = base;
+                    for v in (0..3).filter(|v| mask >> v & 1 == 1) {
+                        target = target.flip_var(v);
+                    }
+                    (tt == target || tt == !target).then_some(PortMatch {
+                        mask,
+                        port,
+                        output_invert: tt != target,
+                    })
+                });
+                expect.extend(hit);
+            }
+            assert_eq!(
+                table[bits as usize].as_slice(),
+                expect,
+                "function {bits:#04x}"
+            );
+            total += expect.len();
+        }
+        // XOR3/XNOR3 match all 8 masks, the 8 MAJ3 variants 2 masks each,
+        // the 16 OR3/AND3 variants 1 mask each.
+        assert_eq!(total, 2 * 8 + 8 * 2 + 16);
     }
 
     #[test]

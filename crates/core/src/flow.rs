@@ -12,16 +12,28 @@
 //! Each flow produces a [`FlowResult`] bundling the mapped netlist, the
 //! schedule, the DFF plan and the aggregate [`FlowStats`] (the paper's
 //! Table-I metrics: #DFF, area in JJs, depth in cycles, T1 found/used).
+//!
+//! A run has two halves. [`prepare`] computes what every flow on one
+//! subject shares — pre-opt, the area-flow cut choice and the baseline
+//! cover, which is both the 1φ/nφ netlist and the reference the T1 flow
+//! prices eq. (2) on. [`finish`] runs one flow from that [`Prepared`]
+//! prefix: the T1 flow enumerates the mapper's cuts once for detection and
+//! its cover, then every flow assigns phases and inserts DFFs.
+//! [`run_flow`] is `finish(&prepare(..))`; callers that run several flows
+//! on one subject (Table I, phase sweeps, `sfq-engine` batches) prepare
+//! once and finish each flow.
 
 use crate::cells::CellLibrary;
 use crate::detect::{detect_with_attribution, DetectConfig};
 use crate::dff::{insert_dffs, DffPlan};
 use crate::mapped::MappedCircuit;
-use crate::mapper::{map, MapResult};
+use crate::mapper::{choose_cuts, cover, MapResult, MAPPER_CUTS};
 use crate::phase::{assign_phases, assign_phases_exact, Schedule};
 use crate::timing::{analyze_mapped, TimingConfig, TimingSummary};
 use sfq_netlist::aig::Aig;
+use sfq_netlist::cut::enumerate_cuts;
 use sfq_opt::{OptConfig, OptReport};
+use std::borrow::Cow;
 
 /// Phase-assignment engine selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,7 +105,7 @@ impl FlowConfig {
     /// [`Aig::structural_hash`](sfq_netlist::aig::Aig::structural_hash) this
     /// forms the `sfq-engine` content-addressed cache key.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
-        h.write_u8(4); // encoding version (4: pre-opt analysis-manager passes)
+        h.write_u8(5); // encoding version (5: detection on the mapper's cuts)
         h.write_u32(self.phases);
         h.write_u8(self.use_t1 as u8);
         h.write_u8(match self.engine {
@@ -259,49 +271,84 @@ pub struct FlowResult {
     pub timing: Option<TimingSummary>,
 }
 
-/// Runs a complete flow on `aig`.
+/// The flow-independent prefix of a mapping run: the subject after the
+/// pre-mapping optimization stage, the area-flow cut choice and the
+/// baseline cover. The 1φ and nφ flows finish from its cover; the T1 flow
+/// prices its candidates on it (eq. 2) and reuses its cut choice.
+///
+/// It holds no cut set: that is the largest structure of the prefix, and
+/// only the T1 flow needs it again.
+#[derive(Debug)]
+pub struct Prepared<'a> {
+    /// The network that is mapped: the subject itself, or its optimized
+    /// version when pre-opt is enabled.
+    aig: Cow<'a, Aig>,
+    /// The pre-opt stage's report, present when it is enabled.
+    pre_opt: Option<OptReport>,
+    /// Index of the chosen [`MAPPER_CUTS`] cut of every AND node.
+    best: Vec<usize>,
+    /// The baseline cover (no T1 cells).
+    baseline: MapResult,
+}
+
+/// Computes the flow-independent prefix of mapping `aig` under `lib` with
+/// the pre-mapping stage `pre_opt`: pre-opt, cut enumeration, area-flow cut
+/// choice and the baseline cover. It borrows `aig` unless pre-opt replaces
+/// it.
+pub fn prepare<'a>(aig: &'a Aig, lib: &CellLibrary, pre_opt: &OptConfig) -> Prepared<'a> {
+    let _span = sfq_obs::span("flow:prepare");
+    // Pre-mapping optimization: a guarded `sfq-opt` pipeline run, so the
+    // mapped network is never larger or deeper than the subject network.
+    let (aig, pre_opt) = if pre_opt.enabled {
+        let _span = sfq_obs::span("flow:pre-opt");
+        let (net, report) = sfq_opt::optimize(aig, pre_opt);
+        (Cow::Owned(net), Some(report))
+    } else {
+        (Cow::Borrowed(aig), None)
+    };
+    let _span = sfq_obs::span("flow:map");
+    let cuts = enumerate_cuts(&aig, &MAPPER_CUTS);
+    let best = choose_cuts(&aig, lib, &cuts);
+    let baseline = cover(&aig, lib, &cuts, &best, None);
+    Prepared {
+        aig,
+        pre_opt,
+        best,
+        baseline,
+    }
+}
+
+/// Runs the flow-specific rest of `config` on a prefix that [`prepare`]
+/// computed under the same `lib` and `config.pre_opt`.
 ///
 /// # Panics
 ///
 /// Panics if `config.use_t1` with fewer than 3 phases, or if the exact
 /// engine fails on an instance it cannot solve (use the heuristic for large
 /// netlists).
-pub fn run_flow(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult {
+pub fn finish(prepared: &Prepared<'_>, lib: &CellLibrary, config: &FlowConfig) -> FlowResult {
     assert!(
         !config.use_t1 || config.phases >= 3,
         "T1 staggering needs at least 3 phases"
     );
     let _flow_span = sfq_obs::span("flow:run");
-    // Pre-mapping optimization: a guarded `sfq-opt` pipeline run, so the
-    // mapped network is never larger or deeper than the subject network.
-    let optimized;
-    let mut pre_opt = None;
-    let aig = if config.pre_opt.enabled {
-        let _span = sfq_obs::span("flow:pre-opt");
-        let (net, report) = sfq_opt::optimize(aig, &config.pre_opt);
-        optimized = net;
-        pre_opt = Some(report);
-        &optimized
-    } else {
-        aig
-    };
-    let (map_result, t1_found): (MapResult, usize) = if config.use_t1 {
-        let det = {
+    let (mc, t1_found, t1_used) = if config.use_t1 {
+        let aig = &*prepared.aig;
+        // One enumeration serves detection and the T1 cover, whose cut
+        // choice is the baseline's.
+        let (cuts, det) = {
             let _span = sfq_obs::span("flow:detect");
-            let baseline = map(aig, lib, None);
-            detect_with_attribution(aig, lib, &config.detect, &baseline.attribution)
+            let cuts = enumerate_cuts(aig, &MAPPER_CUTS);
+            let attribution = &prepared.baseline.attribution;
+            let det = detect_with_attribution(aig, lib, &config.detect, &cuts, attribution);
+            (cuts, det)
         };
-        let found = det.found();
-        let mapped = {
-            let _span = sfq_obs::span("flow:map");
-            map(aig, lib, Some(&det.selection))
-        };
-        (mapped, found)
-    } else {
         let _span = sfq_obs::span("flow:map");
-        (map(aig, lib, None), 0)
+        let mapped = cover(aig, lib, &cuts, &prepared.best, Some(&det.selection));
+        (mapped.circuit, det.found(), mapped.t1_used)
+    } else {
+        (prepared.baseline.circuit.clone(), 0, 0)
     };
-    let mc = map_result.circuit;
     let schedule = {
         let _span = sfq_obs::span("flow:phase-assign");
         match config.engine {
@@ -324,7 +371,7 @@ pub fn run_flow(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult
         cell_area + plan.total_dffs * lib.dff as u64 + plan.total_splitters * lib.splitter as u64;
     let stats = FlowStats {
         t1_found,
-        t1_used: map_result.t1_used,
+        t1_used,
         dffs: plan.total_dffs,
         splitters: plan.total_splitters,
         cell_area,
@@ -337,9 +384,18 @@ pub fn run_flow(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult
         schedule,
         plan,
         stats,
-        pre_opt,
+        pre_opt: prepared.pre_opt.clone(),
         timing,
     }
+}
+
+/// Runs a complete flow on `aig`: [`finish`] on a fresh [`prepare`].
+///
+/// # Panics
+///
+/// As [`finish`].
+pub fn run_flow(aig: &Aig, lib: &CellLibrary, config: &FlowConfig) -> FlowResult {
+    finish(&prepare(aig, lib, &config.pre_opt), lib, config)
 }
 
 // Compile-time Send + Sync audit: `sfq-engine` moves jobs (AIG + library +
@@ -353,6 +409,7 @@ const _: () = {
     assert_send_sync::<FlowConfig>();
     assert_send_sync::<FlowStats>();
     assert_send_sync::<FlowResult>();
+    assert_send_sync::<Prepared<'static>>();
     assert_send_sync::<MappedCircuit>();
     assert_send_sync::<Schedule>();
     assert_send_sync::<DffPlan>();

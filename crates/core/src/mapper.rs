@@ -61,6 +61,13 @@ pub struct MapResult {
     pub t1_used: usize,
 }
 
+/// The mapper's cut enumeration: 3-feasible cuts, because the library has
+/// 1/2-input cells plus MAJ3/XOR3. T1 detection matches on the same cuts.
+pub const MAPPER_CUTS: CutConfig = CutConfig {
+    max_leaves: 3,
+    max_cuts: 16,
+};
+
 /// Maps `aig` onto the library, optionally instantiating the given T1
 /// selection.
 ///
@@ -68,20 +75,14 @@ pub struct MapResult {
 ///
 /// Panics if a selected T1 group references nodes outside `aig`.
 pub fn map(aig: &Aig, lib: &CellLibrary, t1: Option<&T1Selection>) -> MapResult {
-    // 3-feasible cuts: the library has 1/2-input cells plus MAJ3/XOR3.
-    let cuts = enumerate_cuts(
-        aig,
-        &CutConfig {
-            max_leaves: 3,
-            max_cuts: 16,
-        },
-    );
+    let cuts = enumerate_cuts(aig, &MAPPER_CUTS);
     let best = choose_cuts(aig, lib, &cuts);
-    Cover::new(aig, lib, &cuts, &best, t1).run()
+    cover(aig, lib, &cuts, &best, t1)
 }
 
-/// Area-flow cut choice: `best[node]` is the index of the selected cut.
-fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<usize> {
+/// Area-flow cut choice over [`MAPPER_CUTS`] cuts: `best[node]` is the
+/// index of the selected cut of every AND node.
+pub(crate) fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<usize> {
     let mut area_flow = vec![0.0f64; aig.len()];
     let mut best = vec![usize::MAX; aig.len()];
     for id in aig.node_ids() {
@@ -112,6 +113,23 @@ fn choose_cuts(aig: &Aig, lib: &CellLibrary, cuts: &CutSet) -> Vec<usize> {
     best
 }
 
+/// Covers `aig` with the cuts `best` selects from `cuts` (as returned by
+/// [`choose_cuts`] on the same `cuts`), instantiating the T1 selection if
+/// one is given.
+///
+/// # Panics
+///
+/// Panics if a selected T1 group references nodes outside `aig`.
+pub(crate) fn cover(
+    aig: &Aig,
+    lib: &CellLibrary,
+    cuts: &CutSet,
+    best: &[usize],
+    t1: Option<&T1Selection>,
+) -> MapResult {
+    Cover::new(aig, lib, cuts, best, t1).run()
+}
+
 struct Cover<'a> {
     aig: &'a Aig,
     lib: &'a CellLibrary,
@@ -120,12 +138,30 @@ struct Cover<'a> {
     /// node → (group index, port, output inversion)
     t1_roots: HashMap<NodeId, (usize, u8, bool)>,
     groups: Vec<&'a T1Group>,
-    built: HashMap<NodeId, Edge>,
+    built: Vec<Option<Edge>>,
     t1_cells: Vec<Option<CellId>>,
     out: MappedCircuit,
     attribution: HashMap<NodeId, u32>,
     input_edges: Vec<Edge>,
     const_edge: Option<Edge>,
+}
+
+/// A node of [`Cover::build`]'s explicit stack: `next` of its inputs are
+/// built, and `ops` holds the T1 operands prepared so far.
+struct Frame {
+    node: NodeId,
+    next: usize,
+    ops: [Edge; 3],
+}
+
+impl Frame {
+    fn new(node: NodeId) -> Self {
+        Frame {
+            node,
+            next: 0,
+            ops: [Edge::plain(CellId(0)); 3],
+        }
+    }
 }
 
 impl<'a> Cover<'a> {
@@ -158,7 +194,7 @@ impl<'a> Cover<'a> {
             best,
             t1_roots,
             groups,
-            built: HashMap::new(),
+            built: vec![None; aig.len()],
             t1_cells,
             out,
             attribution: HashMap::new(),
@@ -189,72 +225,104 @@ impl<'a> Cover<'a> {
         e
     }
 
-    fn build(&mut self, node: NodeId) -> Edge {
-        if let Some(&e) = self.built.get(&node) {
-            return e;
-        }
-        let edge = match self.aig.kind(node) {
-            NodeKind::Const0 => self.const_edge(),
-            NodeKind::Input(i) => self.input_edges[i as usize],
-            NodeKind::And(..) => {
-                if let Some(&(gi, port, inv)) = self.t1_roots.get(&node) {
-                    let cell = self.build_t1(gi);
-                    Edge {
-                        cell,
-                        port,
-                        invert: inv,
-                    }
-                } else {
-                    self.build_gate(node)
-                }
+    /// The nodes `node`'s cell reads: its T1 group's leaves or its chosen
+    /// cut's leaves.
+    fn inputs(&self, node: NodeId) -> &'a [NodeId] {
+        match self.t1_roots.get(&node) {
+            Some(&(gi, ..)) => {
+                let group: &'a T1Group = self.groups[gi];
+                &group.leaves
             }
-        };
-        self.built.insert(node, edge);
-        edge
+            None => {
+                let cuts: &'a CutSet = self.cuts;
+                cuts.cuts(node)[self.best[node.index()]].leaves()
+            }
+        }
     }
 
-    fn build_gate(&mut self, node: NodeId) -> Edge {
-        let ci = self.best[node.index()];
-        let cut = &self.cuts.cuts(node)[ci];
-        let leaves = cut.leaves().to_vec();
+    /// Builds the cell driving `node` and, first, every cell it depends
+    /// on, depth-first on an explicit stack so that deep networks cannot
+    /// overflow the thread's stack. Cells are created in the order of a
+    /// recursive post-order walk: inputs left to right, each T1 operand's
+    /// NOT gate right after that operand's cone.
+    fn build(&mut self, root: NodeId) -> Edge {
+        let mut stack = vec![Frame::new(root)];
+        'frames: while let Some(&Frame { node, .. }) = stack.last() {
+            if self.built[node.index()].is_some() {
+                stack.pop();
+                continue;
+            }
+            let edge = match self.aig.kind(node) {
+                NodeKind::Const0 => self.const_edge(),
+                NodeKind::Input(i) => self.input_edges[i as usize],
+                NodeKind::And(..) => {
+                    let t1 = self.t1_roots.get(&node).copied();
+                    let cell = t1.and_then(|(gi, ..)| self.t1_cells[gi]);
+                    let top = stack.len() - 1;
+                    if cell.is_none() {
+                        let inputs = self.inputs(node);
+                        while stack[top].next < inputs.len() {
+                            let k = stack[top].next;
+                            let Some(e) = self.built[inputs[k].index()] else {
+                                stack.push(Frame::new(inputs[k]));
+                                continue 'frames;
+                            };
+                            if let Some((gi, ..)) = t1 {
+                                stack[top].ops[k] = self.t1_operand(gi, k, e);
+                            }
+                            stack[top].next += 1;
+                        }
+                    }
+                    match t1 {
+                        Some((gi, port, invert)) => {
+                            let cell = cell.unwrap_or_else(|| {
+                                let c = self.out.add_t1(stack[top].ops);
+                                self.t1_cells[gi] = Some(c);
+                                c
+                            });
+                            Edge { cell, port, invert }
+                        }
+                        None => self.add_gate(node),
+                    }
+                }
+            };
+            self.built[node.index()] = Some(edge);
+            stack.pop();
+        }
+        self.built[root.index()].expect("the walk builds its root")
+    }
+
+    /// Adds the gate of `node`'s chosen cut, whose leaves are built.
+    fn add_gate(&mut self, node: NodeId) -> Edge {
+        let cut = &self.cuts.cuts(node)[self.best[node.index()]];
         let tt = cut.truth_table();
-        let fanins: Vec<Edge> = leaves.iter().map(|&l| self.build(l)).collect();
+        let fanins: Vec<Edge> = cut
+            .leaves()
+            .iter()
+            .map(|l| self.built[l.index()].expect("leaves are built first"))
+            .collect();
         let cost = self.lib.gate_cost(tt);
         let cell = self.out.add_gate(tt, fanins);
         self.attribution.insert(node, cost);
         Edge::plain(cell)
     }
 
-    fn build_t1(&mut self, gi: usize) -> CellId {
-        if let Some(c) = self.t1_cells[gi] {
-            return c;
+    /// The `T` operand `k` of group `gi`, fed by the built edge `e` of its
+    /// leaf.
+    fn t1_operand(&mut self, gi: usize, k: usize, e: Edge) -> Edge {
+        let neg = self.groups[gi].input_neg >> k & 1 == 1;
+        let raw = Edge {
+            cell: e.cell,
+            port: e.port,
+            invert: false,
+        };
+        if neg ^ e.invert {
+            // Pulse logic cannot invert on a wire: materialize a NOT.
+            let not_tt = !TruthTable::var(1, 0);
+            Edge::plain(self.out.add_gate(not_tt, vec![raw]))
+        } else {
+            raw
         }
-        let group = self.groups[gi];
-        let mut operands = [Edge::plain(CellId(0)); 3];
-        for (k, &leaf) in group.leaves.iter().enumerate() {
-            let e = self.build(leaf);
-            let neg = group.input_neg >> k & 1 == 1;
-            let flip = neg ^ e.invert;
-            operands[k] = if flip {
-                // Pulse logic cannot invert on a wire: materialize a NOT.
-                let raw = Edge {
-                    cell: e.cell,
-                    port: e.port,
-                    invert: false,
-                };
-                let not_tt = !TruthTable::var(1, 0);
-                Edge::plain(self.out.add_gate(not_tt, vec![raw]))
-            } else {
-                Edge {
-                    cell: e.cell,
-                    port: e.port,
-                    invert: false,
-                }
-            };
-        }
-        let cell = self.out.add_t1(operands);
-        self.t1_cells[gi] = Some(cell);
-        cell
     }
 }
 

@@ -6,7 +6,7 @@
 //! averages row.
 
 use crate::cells::CellLibrary;
-use crate::flow::{run_flow, FlowConfig, FlowStats};
+use crate::flow::{finish, prepare, FlowConfig, FlowStats};
 use sfq_netlist::aig::Aig;
 use std::fmt;
 
@@ -35,12 +35,14 @@ impl TableRow {
         }
     }
 
-    /// Runs all three flows on `aig` under `n` phases.
+    /// Runs all three flows on `aig` under `n` phases, from one shared
+    /// [`prepare`]d prefix.
     pub fn measure(name: &str, aig: &Aig, lib: &CellLibrary, n: u32) -> Self {
-        let single = run_flow(aig, lib, &FlowConfig::single_phase()).stats;
-        let multi = run_flow(aig, lib, &FlowConfig::multiphase(n)).stats;
-        let t1 = run_flow(aig, lib, &FlowConfig::t1(n)).stats;
-        Self::from_stats(name, single, multi, t1)
+        let single = FlowConfig::single_phase();
+        let prepared = prepare(aig, lib, &single.pre_opt);
+        let stats = |config: &FlowConfig| finish(&prepared, lib, config).stats;
+        let (multi, t1) = (FlowConfig::multiphase(n), FlowConfig::t1(n));
+        Self::from_stats(name, stats(&single), stats(&multi), stats(&t1))
     }
 
     /// `T1 / 1φ` DFF ratio.

@@ -8,7 +8,7 @@
 //!
 //! ## Architecture
 //!
-//! The engine is four small layers:
+//! The engine is five small layers:
 //!
 //! - **[`Job`]** ([`job`]) — the unit of work: a named AIG × a
 //!   [`CellLibrary`](t1map::cells::CellLibrary) × a
@@ -45,6 +45,16 @@
 //!   of completion order — `--jobs 1` and `--jobs 8` render byte-identical
 //!   tables. [`SuiteRunner::with_store`] swaps the per-run cache for a
 //!   shared, long-lived (and optionally disk-backed) store.
+//!
+//! - **Prefix memo** ([`pool`]) — below the result cache, the jobs of one
+//!   run that miss it share their flow prefix
+//!   ([`prepare`](t1map::flow::prepare): pre-opt, cut choice and baseline
+//!   cover). The memo is keyed by the job's `Arc<Aig>` pointer plus the
+//!   library and pre-opt fingerprints, so the 1φ, nφ and T1 jobs of a
+//!   Table-I row (or every point of a phase sweep) prepare once and each
+//!   [`finish`](t1map::flow::finish) their own flow. Each entry counts the
+//!   run's jobs that could use it and is dropped after the last of them
+//!   finishes, so a run holds only the prefixes still in use.
 //!
 //! ## Example
 //!

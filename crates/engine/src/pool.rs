@@ -2,10 +2,13 @@
 
 use crate::cache::{CacheStats, HitSource, ResultCache};
 use crate::job::{CacheKey, Job};
+use sfq_netlist::fnv::Fnv1a;
+use std::collections::HashMap;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use t1map::flow::{run_flow, FlowResult, FlowStats};
+use t1map::flow::{finish, prepare, FlowResult, FlowStats, Prepared};
 
 /// Worker count to use when the caller does not specify one: the machine's
 /// [`available_parallelism`](std::thread::available_parallelism), or 1 if
@@ -40,14 +43,18 @@ pub struct JobOutcome<'a> {
     /// Wall-clock time this job occupied a worker. Near zero for hits on an
     /// already-finished entry; a hit that piggybacked on another worker's
     /// in-flight computation of the same key reports the time spent waiting
-    /// for that computation instead.
+    /// for that computation instead. Of the computed jobs that share one
+    /// flow prefix (see [`SuiteRunner`]), the one that builds it is charged
+    /// for it, and a job that waits for another worker to finish it counts
+    /// that wait.
     pub duration: Duration,
     /// Monotonic wall-clock time from the start of the whole run to this
     /// job's completion — the timestamp progress reporters print.
     pub elapsed: Duration,
     /// Bytes the worker thread allocated while this job occupied it.
     /// Zero unless the [`sfq_obs::alloc`] wrapper is installed and the
-    /// recorder is enabled.
+    /// recorder is enabled. A shared flow prefix is charged to the job
+    /// that builds it.
     pub alloc_bytes: u64,
     /// Process-wide peak live bytes observed by this job's end — a
     /// high-water mark over all threads, not a per-job figure. Zero when
@@ -80,6 +87,13 @@ pub struct SuiteReport {
 /// invokes the progress callback (no `Send`/`Sync` bound on the callback)
 /// and slots each result into its submission-order position.
 ///
+/// Jobs that run different flows on one subject share the flow prefix
+/// ([`prepare`]: pre-opt, cut choice and baseline cover). Each run keeps a
+/// memo of prefixes keyed by the job's AIG allocation (`Arc` pointer, so no
+/// AIG is hashed for it), library and pre-opt stage; the first job that
+/// needs a prefix computes it, concurrent ones wait for it, and the entry
+/// is dropped once every job of the run that could use it has finished.
+///
 /// By default each run uses a private in-memory [`ResultCache`] that dies
 /// with the run. [`with_store`](SuiteRunner::with_store) attaches a shared,
 /// long-lived store instead — typically a [`ResultCache`] layered over a
@@ -89,6 +103,77 @@ pub struct SuiteReport {
 pub struct SuiteRunner {
     workers: usize,
     store: Option<Arc<ResultCache>>,
+}
+
+/// A flow prefix's identity within one run: the job's AIG allocation and
+/// the fingerprints of its library and pre-opt stage.
+type PrefixKey = (usize, u64, u64);
+
+fn prefix_key(job: &Job) -> PrefixKey {
+    let mut lib = Fnv1a::new();
+    job.lib.fingerprint(&mut lib);
+    let mut pre_opt = Fnv1a::new();
+    job.config.pre_opt.fingerprint(&mut pre_opt);
+    (
+        Arc::as_ptr(&job.aig) as usize,
+        lib.finish(),
+        pre_opt.finish(),
+    )
+}
+
+/// One slot of the per-run prefix memo: the jobs of the run that have not
+/// finished yet, and the prefix, computed by the first of them that needs
+/// it.
+type PrefixSlot<'a> = (usize, Arc<OnceLock<Prepared<'a>>>);
+
+/// The per-run prefix memo.
+struct PrefixMemo<'a> {
+    slots: Mutex<HashMap<PrefixKey, PrefixSlot<'a>>>,
+}
+
+impl<'a> PrefixMemo<'a> {
+    /// A memo expecting one finished job per entry of `keys`.
+    fn new(keys: &[PrefixKey]) -> Self {
+        let mut slots: HashMap<PrefixKey, PrefixSlot<'a>> = HashMap::new();
+        for &key in keys {
+            slots.entry(key).or_default().0 += 1;
+        }
+        PrefixMemo {
+            slots: Mutex::new(slots),
+        }
+    }
+
+    /// Runs `job`'s flow from its prefix, which is computed here unless
+    /// another job of the run already computed it or is computing it (then
+    /// this waits for it).
+    fn compute(&self, key: PrefixKey, job: &'a Job) -> FlowResult {
+        let cell = self.lock()[&key].1.clone();
+        let mut built = false;
+        let prepared = cell.get_or_init(|| {
+            built = true;
+            prepare(&job.aig, &job.lib, &job.config.pre_opt)
+        });
+        if !built {
+            sfq_obs::counter("engine.prefix.shared", 1);
+        }
+        finish(prepared, &job.lib, &job.config)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PrefixKey, PrefixSlot<'a>>> {
+        // No code panics while holding this lock.
+        self.slots.lock().expect("prefix memo lock")
+    }
+
+    /// Records that a job with prefix `key` finished, dropping the prefix
+    /// after the last one.
+    fn release(&self, key: PrefixKey) {
+        let mut slots = self.lock();
+        let slot = slots.get_mut(&key).expect("every job has a slot");
+        slot.0 -= 1;
+        let done = (slot.0 == 0).then(|| slots.remove(&key));
+        drop(slots);
+        drop(done);
+    }
 }
 
 struct WorkerEvent {
@@ -157,6 +242,8 @@ impl SuiteRunner {
             }
         };
         let before = cache.stats();
+        let prefix_keys: Vec<PrefixKey> = jobs.iter().map(prefix_key).collect();
+        let memo = PrefixMemo::new(&prefix_keys);
         let cursor = AtomicUsize::new(0);
         let mut results: Vec<Option<Arc<FlowResult>>> = vec![None; total];
         // Queue-wait spans are measured from this common origin; `None`
@@ -167,7 +254,7 @@ impl SuiteRunner {
             let (tx, rx) = mpsc::channel::<WorkerEvent>();
             for _ in 0..workers {
                 let tx = tx.clone();
-                let cursor = &cursor;
+                let (cursor, memo, prefix_keys) = (&cursor, &memo, &prefix_keys);
                 scope.spawn(move || loop {
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
                     if index >= total {
@@ -184,9 +271,10 @@ impl SuiteRunner {
                         let _span = sfq_obs::span_labeled("engine:job", || job.label());
                         cache.get_or_compute(key, || {
                             let _span = sfq_obs::span_labeled("engine:compute", || job.label());
-                            run_flow(&job.aig, &job.lib, &job.config)
+                            memo.compute(prefix_keys[index], job)
                         })
                     };
+                    memo.release(prefix_keys[index]);
                     // The receiver only disappears if the collector loop
                     // ended early (callback panic); nothing left to report.
                     let _ = tx.send(WorkerEvent {

@@ -7,7 +7,7 @@ use sfq_engine::{CacheKey, Job, SuiteRunner};
 use sfq_netlist::aig::Aig;
 use std::sync::Arc;
 use t1map::cells::CellLibrary;
-use t1map::flow::FlowConfig;
+use t1map::flow::{run_flow, FlowConfig, FlowResult};
 
 /// Builds a 4-bit adder through the public construction API (not the `epfl`
 /// generator) so the test controls every gate.
@@ -201,4 +201,104 @@ fn timing_configs_get_distinct_cache_keys() {
     assert!(report.results[0].timing.is_none());
     let summary = report.results[1].timing.expect("timing summary attached");
     assert_eq!(summary.worst_slack, 0);
+}
+
+/// Every flow flavour on two subjects, with a second allocation of one
+/// network and a repeated job, so that the prefix memo sees shared,
+/// unshared and cache-hit jobs.
+fn prefix_suite() -> Vec<Job> {
+    let lib = CellLibrary::default();
+    let mut jobs = Vec::new();
+    let adder = Arc::new(epfl::adder(8));
+    let twin = Arc::new(epfl::adder(8));
+    let square = Arc::new(epfl::square(4));
+    for (name, aig) in [("adder8", &adder), ("square4", &square), ("twin", &twin)] {
+        for (flow, config) in [
+            ("1φ", FlowConfig::single_phase()),
+            ("4φ", FlowConfig::multiphase(4)),
+            ("T1", FlowConfig::t1(4)),
+            ("T1@6", FlowConfig::t1(6)),
+            (
+                "T1+sta",
+                FlowConfig::t1(4).to_builder().timing(true).build(),
+            ),
+            (
+                "4φ+opt",
+                FlowConfig::multiphase(4)
+                    .to_builder()
+                    .standard_opt()
+                    .build(),
+            ),
+            (
+                "T1+opt",
+                FlowConfig::t1(4).to_builder().standard_opt().build(),
+            ),
+        ] {
+            jobs.push(Job::new(name, flow, aig.clone(), lib, config));
+        }
+    }
+    jobs.push(Job::new("adder8", "T1", adder, lib, FlowConfig::t1(4)));
+    jobs
+}
+
+/// `result` with the pre-opt report's pass timings cleared, the only part
+/// of a flow result that differs between two runs of the same job.
+fn without_timings(result: &FlowResult) -> FlowResult {
+    let mut r = result.clone();
+    if let Some(report) = &mut r.pre_opt {
+        for stats in report.rounds.iter_mut().flatten() {
+            stats.micros = 0;
+        }
+    }
+    r
+}
+
+#[test]
+fn shared_prefixes_reproduce_standalone_flows() {
+    let jobs = prefix_suite();
+    let serial = SuiteRunner::new(1).run(&jobs);
+    let parallel = SuiteRunner::new(3).run(&jobs);
+    for (i, job) in jobs.iter().enumerate() {
+        let alone = without_timings(&run_flow(&job.aig, &job.lib, &job.config));
+        assert_eq!(
+            without_timings(&serial.results[i]),
+            alone,
+            "{}",
+            job.label()
+        );
+        assert_eq!(
+            without_timings(&parallel.results[i]),
+            alone,
+            "{}",
+            job.label()
+        );
+    }
+}
+
+/// Length of the XOR chain below: deep enough that a recursive cover of
+/// it overflows a 2 MiB worker stack.
+const CHAIN: usize = 20_000;
+
+#[test]
+fn t1_flow_on_a_deep_xor_chain_fits_a_worker_stack() {
+    // Four inputs, each XORed in at every fourth level, so the network is
+    // CHAIN levels deep but needs only a linear number of DFFs.
+    let mut g = Aig::new();
+    let pis: Vec<_> = (0..4).map(|_| g.add_pi()).collect();
+    let mut acc = pis[0];
+    for i in 1..CHAIN {
+        acc = g.xor(acc, pis[i % 4]);
+    }
+    g.add_po(acc);
+    let aig = Arc::new(g);
+    let lib = CellLibrary::default();
+    let job = Job::new("xor-chain", "T1", aig.clone(), lib, FlowConfig::t1(4));
+    // One job on one worker: the flow runs on a pool thread, whose stack
+    // has the platform's default size.
+    let report = SuiteRunner::new(1).run(&[job]);
+    let result = &report.results[0];
+    result.schedule.validate(&result.mapped).unwrap();
+    for inputs in [[0, !0, 0x5555, 7], [!0, 3, 0xF0F0, 0x1234_5678]] {
+        assert_eq!(aig.eval64(&inputs), result.mapped.eval64(&inputs));
+    }
 }
