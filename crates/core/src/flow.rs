@@ -32,8 +32,10 @@ use crate::phase::{assign_phases, assign_phases_exact, Schedule};
 use crate::timing::{analyze_mapped, TimingConfig, TimingSummary};
 use sfq_netlist::aig::Aig;
 use sfq_netlist::cut::enumerate_cuts;
+use sfq_netlist::fnv::Fnv1a;
 use sfq_opt::{OptConfig, OptReport};
 use std::borrow::Cow;
+use std::hash::Hasher;
 
 /// Phase-assignment engine selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -289,6 +291,19 @@ pub struct Prepared<'a> {
     best: Vec<usize>,
     /// The baseline cover (no T1 cells).
     baseline: MapResult,
+    /// [`prefix_fingerprint`] of the library and pre-opt stage it was
+    /// computed under.
+    fingerprint: u64,
+}
+
+/// Digest of what a [`Prepared`] prefix depends on besides the network:
+/// the fingerprints of the cell library and the pre-opt stage. Prefixes of
+/// one network with equal digests are interchangeable.
+pub fn prefix_fingerprint(lib: &CellLibrary, pre_opt: &OptConfig) -> u64 {
+    let mut h = Fnv1a::new();
+    lib.fingerprint(&mut h);
+    pre_opt.fingerprint(&mut h);
+    h.finish()
 }
 
 /// Computes the flow-independent prefix of mapping `aig` under `lib` with
@@ -297,6 +312,7 @@ pub struct Prepared<'a> {
 /// it.
 pub fn prepare<'a>(aig: &'a Aig, lib: &CellLibrary, pre_opt: &OptConfig) -> Prepared<'a> {
     let _span = sfq_obs::span("flow:prepare");
+    let fingerprint = prefix_fingerprint(lib, pre_opt);
     // Pre-mapping optimization: a guarded `sfq-opt` pipeline run, so the
     // mapped network is never larger or deeper than the subject network.
     let (aig, pre_opt) = if pre_opt.enabled {
@@ -315,6 +331,7 @@ pub fn prepare<'a>(aig: &'a Aig, lib: &CellLibrary, pre_opt: &OptConfig) -> Prep
         pre_opt,
         best,
         baseline,
+        fingerprint,
     }
 }
 
@@ -323,10 +340,16 @@ pub fn prepare<'a>(aig: &'a Aig, lib: &CellLibrary, pre_opt: &OptConfig) -> Prep
 ///
 /// # Panics
 ///
-/// Panics if `config.use_t1` with fewer than 3 phases, or if the exact
-/// engine fails on an instance it cannot solve (use the heuristic for large
-/// netlists).
+/// Panics if `prepared` was computed under a different library or pre-opt
+/// stage (their [`prefix_fingerprint`]s differ), if `config.use_t1` with
+/// fewer than 3 phases, or if the exact engine fails on an instance it
+/// cannot solve (use the heuristic for large netlists).
 pub fn finish(prepared: &Prepared<'_>, lib: &CellLibrary, config: &FlowConfig) -> FlowResult {
+    assert_eq!(
+        prepared.fingerprint,
+        prefix_fingerprint(lib, &config.pre_opt),
+        "prefix prepared under a different library or pre-opt stage"
+    );
     assert!(
         !config.use_t1 || config.phases >= 3,
         "T1 staggering needs at least 3 phases"
@@ -420,6 +443,29 @@ const _: () = {
 mod tests {
     use super::*;
     use sfq_circuits::epfl::adder;
+
+    #[test]
+    #[should_panic(expected = "different library or pre-opt stage")]
+    fn finish_rejects_a_prefix_of_another_pre_opt_stage() {
+        let lib = CellLibrary::default();
+        let aig = adder(8);
+        let prepared = prepare(&aig, &lib, &OptConfig::default());
+        let config = FlowConfig::t1(4).to_builder().standard_opt().build();
+        finish(&prepared, &lib, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "different library or pre-opt stage")]
+    fn finish_rejects_a_prefix_of_another_library() {
+        let aig = adder(8);
+        let config = FlowConfig::t1(4);
+        let prepared = prepare(&aig, &CellLibrary::default(), &config.pre_opt);
+        let lib = CellLibrary {
+            xor2: CellLibrary::default().xor2 + 1,
+            ..CellLibrary::default()
+        };
+        finish(&prepared, &lib, &config);
+    }
 
     #[test]
     fn three_flows_on_small_adder() {

@@ -2,13 +2,11 @@
 
 use crate::cache::{CacheStats, HitSource, ResultCache};
 use crate::job::{CacheKey, Job};
-use sfq_netlist::fnv::Fnv1a;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-use t1map::flow::{finish, prepare, FlowResult, FlowStats, Prepared};
+use t1map::flow::{finish, prefix_fingerprint, prepare, FlowResult, FlowStats, Prepared};
 
 /// Worker count to use when the caller does not specify one: the machine's
 /// [`available_parallelism`](std::thread::available_parallelism), or 1 if
@@ -106,18 +104,13 @@ pub struct SuiteRunner {
 }
 
 /// A flow prefix's identity within one run: the job's AIG allocation and
-/// the fingerprints of its library and pre-opt stage.
-type PrefixKey = (usize, u64, u64);
+/// the [`prefix_fingerprint`] of its library and pre-opt stage.
+type PrefixKey = (usize, u64);
 
 fn prefix_key(job: &Job) -> PrefixKey {
-    let mut lib = Fnv1a::new();
-    job.lib.fingerprint(&mut lib);
-    let mut pre_opt = Fnv1a::new();
-    job.config.pre_opt.fingerprint(&mut pre_opt);
     (
         Arc::as_ptr(&job.aig) as usize,
-        lib.finish(),
-        pre_opt.finish(),
+        prefix_fingerprint(&job.lib, &job.config.pre_opt),
     )
 }
 

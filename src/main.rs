@@ -84,10 +84,8 @@
 //!   --csv FILE       write the per-node timing table as CSV
 //! ```
 
-use std::collections::HashMap;
 use std::io::BufRead;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use sfq_t1::bench::{
     bench_json_flag, bench_report_json, csv_flag, diff_reports, fixpoint_opt_jobs, jobs_flag,
@@ -1036,7 +1034,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
 
     let mut batch: Vec<(usize, Job)> = Vec::new();
-    let mut subjects = HashMap::new();
     let mut next_index = 0usize;
     let flush = |batch: &mut Vec<(usize, Job)>| -> Result<(), String> {
         if batch.is_empty() {
@@ -1083,7 +1080,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         if trimmed == "---" {
             flush(&mut batch)?;
-            subjects.clear();
             continue;
         }
         if trimmed == "stats" {
@@ -1094,7 +1090,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         let index = next_index;
         next_index += 1;
-        match parse_serve_request(trimmed, &lib, &mut subjects) {
+        match parse_serve_request(trimmed, &lib) {
             Ok(job) => batch.push((index, job)),
             Err(e) => respond(format!("err {index} {e}"))?,
         }
@@ -1126,26 +1122,10 @@ fn serve_stats_line(store: &sfq_t1::engine::ResultCache) -> String {
 /// [`sfq_t1::explore::apply_config_token`] table, so `serve` and
 /// `explore` accept the same spellings and reject unknown tokens with
 /// the same exhaustive list.
-///
-/// `subjects` holds the networks built for the current batch: requests on
-/// one subject share its network, so the engine computes the flow prefix
-/// they have in common once.
-fn parse_serve_request(
-    line: &str,
-    lib: &CellLibrary,
-    subjects: &mut HashMap<String, Arc<Aig>>,
-) -> Result<Job, String> {
+fn parse_serve_request(line: &str, lib: &CellLibrary) -> Result<Job, String> {
     let mut fields = line.split_whitespace();
     let subject = fields.next().ok_or("benchmark required")?;
-    let aig = match subjects.get(subject) {
-        Some(aig) => aig.clone(),
-        None => {
-            let (_, aig) = sfq_t1::circuits::named::build_subject(subject)?;
-            let aig = Arc::new(aig);
-            subjects.insert(subject.to_string(), aig.clone());
-            aig
-        }
-    };
+    let (label, aig) = sfq_t1::circuits::named::build_subject(subject)?;
 
     let flow = fields
         .next()
@@ -1172,7 +1152,13 @@ fn parse_serve_request(
     for opt in rest {
         builder = sfq_t1::explore::apply_config_token(builder, opt)?;
     }
-    Ok(Job::new(subject, flow, aig, *lib, builder.build()))
+    Ok(Job::new(
+        label,
+        flow,
+        std::sync::Arc::new(aig),
+        *lib,
+        builder.build(),
+    ))
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
